@@ -92,14 +92,16 @@ bench-compare:
 	$(GO) run ./internal/tools/benchcompare -old "$$old" -new "$$new" $(BENCHCOMPARE_FLAGS)
 
 # Fuzz knobs: `make fuzz-smoke` runs each wire-format and spec-grammar fuzz
-# target briefly (CI does this per push); raise FUZZTIME for a longer local
-# session or the workflow_dispatch nightly job.
+# target, and the placement builders against their sort-based oracle,
+# briefly (CI does this per push); raise FUZZTIME for a longer local session
+# or the workflow_dispatch nightly job.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzHeader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/access -run '^$$' -fuzz '^FuzzParseAccessSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cachepolicy -run '^$$' -fuzz '^FuzzBuildMatchesReference$$' -fuzztime $(FUZZTIME)
 
 # Coverage gate for the core packages: fails when total statement coverage
 # of internal/... drops below COVER_MIN percent. CI runs this per push.

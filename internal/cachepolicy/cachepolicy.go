@@ -32,8 +32,6 @@
 package cachepolicy
 
 import (
-	"slices"
-
 	"repro/internal/access"
 	"repro/internal/hwspec"
 )
@@ -314,7 +312,8 @@ func (a *Assignment) Coverage(ds Sizer) float64 {
 }
 
 // ApproxBytes approximates the assignment's resident memory: packed local
-// rows, holder words, fill orders, and byte counters.
+// rows, holder words, fill orders (by capacity: an append-grown list's
+// backing array holds up to twice its length), and byte counters.
 func (a *Assignment) ApproxBytes() int64 {
 	var n int64
 	for _, row := range a.local {
@@ -323,7 +322,7 @@ func (a *Assignment) ApproxBytes() int64 {
 	n += int64(len(a.best1)+len(a.best2)) * 8
 	for _, classes := range a.FillOrder {
 		for _, list := range classes {
-			n += int64(len(list)) * 4
+			n += int64(cap(list)) * 4
 		}
 	}
 	n += int64(a.N) * 8
@@ -347,8 +346,9 @@ func classCaps(node hwspec.Node) []int64 {
 // placement is the holder's first access (the copy exists once the holder
 // has pulled the sample for its own consumption).
 //
-// Peak memory is O(E*F) for the materialised streams plus O(F) scratch,
-// independent of N, so plans with many workers stay tractable.
+// Time is linear in the total stream length (no comparison sort). Peak
+// memory is O(E*F) for the materialised streams plus O(F) scratch allocated
+// once per build, independent of N, so plans with many workers stay tractable.
 func BuildNoPFS(plan *access.Plan, ds Sizer, node hwspec.Node) *Assignment {
 	streams := plan.AllWorkerStreams()
 	return BuildNoPFSFromStreams(plan, streams, ds, node)
@@ -381,92 +381,96 @@ func BuildRandomLean(plan *access.Plan, streams [][]access.SampleID, ds Sizer, n
 	return buildFromStreams(plan, streams, ds, node, true, true)
 }
 
+// buildFromStreams runs the Sec. 5.1 greedy fill in time linear in each
+// worker's stream length. Candidates are collected on first visit, so they
+// are already in first-access order: the fill order (freq desc, first access
+// asc) is a stable counting sort of their indices by frequency, the random
+// ablation uses first-access order as is, and one walk over the candidates
+// builds each class's fill list at exact length. The O(F) scratch is
+// allocated once per build and reused for every worker.
 func buildFromStreams(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node, ignoreFreq, lean bool) *Assignment {
 	a := newAssignment(plan.N, plan.F, len(node.Classes), lean)
 	caps := classCaps(node)
-
-	// Reusable per-worker scratch; reset only the touched entries.
+	remaining := make([]int64, len(caps))
+	perClass := make([]int, len(caps))
 	freq := make([]int32, plan.F)
-	firstPos := make([]int32, plan.F)
-	for k := range firstPos {
-		firstPos[k] = -1
-	}
+	cand := make([]int32, 0, plan.F)
+	first := make([]int32, 0, plan.F)
+	key := make([]int32, plan.F)
+	sizes := make([]int64, plan.F)
+	fillOrder := make([]int32, plan.F)
+	var buckets []int32
 
 	for w := 0; w < plan.N; w++ {
-		stream := streams[w]
-		for pos, k := range stream {
-			if firstPos[k] < 0 {
-				firstPos[k] = int32(pos)
+		cand, first = cand[:0], first[:0]
+		for pos, k := range streams[w] {
+			if freq[k] == 0 {
+				cand = append(cand, k)
+				first = append(first, int32(pos))
 			}
 			freq[k]++
 		}
-		// Candidates: distinct samples this worker accesses, most frequent
-		// first; among equals, the one needed soonest.
-		cand := make([]int32, 0, len(stream))
-		for _, k := range stream {
-			if freq[k] > 0 {
-				cand = append(cand, k)
-				freq[k] = -freq[k] // mark visited, preserve magnitude
+		// Gather each candidate's frequency and size once, resetting the
+		// per-sample counts for the next worker.
+		maxFreq := int32(0)
+		for i, k := range cand {
+			key[i], freq[k] = freq[k], 0
+			maxFreq = max(maxFreq, key[i])
+			sizes[i] = ds.Size(int(k))
+		}
+
+		order := fillOrder[:len(cand)]
+		if ignoreFreq {
+			for i := range order {
+				order[i] = int32(i)
+			}
+		} else {
+			// buckets[f] becomes the first slot of frequency f, most
+			// frequent first; scattering in first-access order keeps ties
+			// by first access.
+			buckets = append(buckets[:0], make([]int32, maxFreq+1)...)
+			for _, f := range key[:len(cand)] {
+				buckets[f]++
+			}
+			next := int32(0)
+			for f := maxFreq; f > 0; f-- {
+				next, buckets[f] = next+buckets[f], next
+			}
+			for i, f := range key[:len(cand)] {
+				order[buckets[f]] = int32(i)
+				buckets[f]++
 			}
 		}
-		for _, k := range cand {
-			freq[k] = -freq[k]
-		}
-		// Direct int32 comparators (no reflection): candidates are distinct
-		// samples, so firstPos breaks every tie and the order is total —
-		// identical output to the previous sort.Slice regardless of sort
-		// algorithm. Both comparator branches subtract int32 values promoted
-		// to int, which cannot overflow.
-		if ignoreFreq {
-			slices.SortFunc(cand, func(a, b int32) int {
-				return int(firstPos[a]) - int(firstPos[b])
-			})
-		} else {
-			slices.SortFunc(cand, func(a, b int32) int {
-				if freq[a] != freq[b] {
-					return int(freq[b]) - int(freq[a]) // most frequent first
+
+		// Greedy fill, fastest class first; a sample too large for the
+		// remaining space of one class falls through to the next. key[i]
+		// becomes the chosen class, or -1.
+		copy(remaining, caps)
+		clear(perClass)
+		for _, i := range order {
+			key[i] = -1
+			for c := range remaining {
+				if remaining[c] >= sizes[i] {
+					remaining[c] -= sizes[i]
+					perClass[c]++
+					key[i] = int32(c)
+					break
 				}
-				return int(firstPos[a]) - int(firstPos[b])
-			})
+			}
 		}
-		fillGreedy(a, w, cand, ds, caps, firstPos)
-		sortFillOrders(a, w, firstPos)
-		// Reset scratch for the next worker.
-		for _, k := range stream {
-			freq[k] = 0
-			firstPos[k] = -1
+
+		for c, n := range perClass {
+			if n > 0 && a.FillOrder[w] != nil {
+				a.FillOrder[w][c] = make([]int32, 0, n)
+			}
+		}
+		for i, k := range cand {
+			if c := key[i]; c >= 0 {
+				a.place(w, k, int8(c), sizes[i], first[i])
+			}
 		}
 	}
 	return a
-}
-
-// fillGreedy assigns candidates to worker w's classes fastest-first until
-// capacity runs out. A sample too large for the remaining space of one class
-// falls through to the next.
-func fillGreedy(a *Assignment, w int, cand []int32, ds Sizer, caps []int64, firstPos []int32) {
-	remaining := append([]int64(nil), caps...)
-	for _, k := range cand {
-		sz := ds.Size(int(k))
-		for c := range remaining {
-			if remaining[c] >= sz {
-				remaining[c] -= sz
-				a.place(w, k, int8(c), sz, firstPos[k])
-				break
-			}
-		}
-	}
-}
-
-// sortFillOrders orders each class's fill list by first access so the
-// prefetchers load soonest-needed samples first (Rule 1). Untracked workers
-// of lean assignments have no fill lists.
-func sortFillOrders(a *Assignment, w int, firstPos []int32) {
-	for c := range a.FillOrder[w] {
-		list := a.FillOrder[w][c]
-		slices.SortFunc(list, func(x, y int32) int {
-			return int(firstPos[x]) - int(firstPos[y])
-		})
-	}
 }
 
 // BuildFirstTouch computes the first-touch placement used by the LBANN data
@@ -490,7 +494,7 @@ func BuildFirstTouchLean(plan *access.Plan, order []access.SampleID, ds Sizer, n
 }
 
 func buildFirstTouch(plan *access.Plan, order []access.SampleID, ds Sizer, node hwspec.Node, lean bool) *Assignment {
-	a := newAssignment(plan.N, plan.F, maxInt(len(node.Classes), 1), lean)
+	a := newAssignment(plan.N, plan.F, max(len(node.Classes), 1), lean)
 	if len(node.Classes) == 0 {
 		return a
 	}
@@ -564,7 +568,7 @@ func BuildPreloadLean(f, n int, ds Sizer, node hwspec.Node) *Assignment {
 }
 
 func buildPreload(f, n int, ds Sizer, node hwspec.Node, lean bool) *Assignment {
-	a := newAssignment(n, f, maxInt(len(node.Classes), 1), lean)
+	a := newAssignment(n, f, max(len(node.Classes), 1), lean)
 	if len(node.Classes) == 0 {
 		return a
 	}
@@ -582,11 +586,4 @@ func buildPreload(f, n int, ds Sizer, node hwspec.Node, lean bool) *Assignment {
 		}
 	}
 	return a
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

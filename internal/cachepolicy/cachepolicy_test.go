@@ -1,6 +1,7 @@
 package cachepolicy
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/access"
@@ -134,16 +135,47 @@ func TestBuildNoPFSFrequencyOrdering(t *testing.T) {
 	}
 }
 
+// TestFillOrderIsFirstAccessOrder: each class's fill list is exactly the
+// first-access-ordered subsequence of the samples placed in that class — no
+// sample dropped, duplicated or out of order — for full and lean builds,
+// uniform and zipf plans, with both classes partly filled.
 func TestFillOrderIsFirstAccessOrder(t *testing.T) {
 	ds := fixedSizer{n: 128, size: 1 << 20}
-	plan := testPlan(128, 2, 3)
-	a := BuildNoPFS(plan, ds, nodeWithMB(1000, 0))
-	for w := 0; w < 2; w++ {
-		first := access.FirstAccessPositions(plan.WorkerStream(w))
-		for c, list := range a.FillOrder[w] {
-			for i := 1; i < len(list); i++ {
-				if first[list[i-1]] >= first[list[i]] {
-					t.Fatalf("worker %d class %d fill order not by first access at %d", w, c, i)
+	node := nodeWithMB(20, 30)
+	for _, spec := range []string{"", "zipf"} {
+		canon, err := access.CanonicalSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := testPlan(128, 2, 3)
+		plan.Access = canon
+		streams := plan.AllWorkerStreams()
+		builds := []struct {
+			name    string
+			a       *Assignment
+			workers int
+		}{
+			{"full", BuildNoPFSFromStreams(plan, streams, ds, node), plan.N},
+			{"lean", BuildNoPFSLean(plan, streams, ds, node), 1},
+		}
+		for _, b := range builds {
+			for w := 0; w < b.workers; w++ {
+				want := make([][]int32, len(node.Classes))
+				seen := map[access.SampleID]bool{}
+				for _, k := range streams[w] {
+					if c := b.a.Local(w, k); c >= 0 && !seen[k] {
+						want[c] = append(want[c], k)
+					}
+					seen[k] = true
+				}
+				for c := range want {
+					if len(want[c]) == 0 {
+						t.Fatalf("%q %s worker %d: class %d empty; the test needs both classes in use", spec, b.name, w, c)
+					}
+					if got := b.a.FillOrder[w][c]; !slices.Equal(got, want[c]) {
+						t.Errorf("%q %s worker %d class %d: fill order %v, want first-access order %v",
+							spec, b.name, w, c, got, want[c])
+					}
 				}
 			}
 		}
@@ -294,5 +326,41 @@ func BenchmarkBuildNoPFS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		BuildNoPFS(plan, ds, node)
+	}
+}
+
+// BenchmarkBuildNoPFSLean times the simulator's placement at the fig8d
+// panel's scale 0.05: ImageNet-22k sizes (F ≈ 710k), N=4, E=5, and the
+// small cluster's RAM and SSD scaled alike. Streams are built once outside
+// the timer, as the plan-artifact cache shares them.
+func BenchmarkBuildNoPFSLean(b *testing.B) {
+	const scale = 0.05
+	ds := dataset.MustNew(dataset.ImageNet22kSpec().Scale(scale))
+	plan := &access.Plan{Seed: 1, F: ds.Len(), N: 4, E: 5, BatchPerWorker: 32, DropLast: true}
+	node := hwspec.SmallCluster().Node
+	node.Classes = slices.Clone(node.Classes)
+	for i := range node.Classes {
+		node.Classes[i].CapacityMB *= scale
+	}
+	streams := plan.AllWorkerStreams()
+	b.ReportAllocs()
+	for b.Loop() {
+		BuildNoPFSLean(plan, streams, ds, node)
+	}
+}
+
+// TestApproxBytesCountsFillOrderCapacity: fill lists grown by append hold
+// more than their length in backing arrays, and ApproxBytes — the byte
+// charge the plan-artifact cache bounds — must count all of it.
+func TestApproxBytesCountsFillOrderCapacity(t *testing.T) {
+	const f = 1000
+	a := BuildShard(f, 1, fixedSizer{n: f, size: 1}, nodeWithMB(1, 0))
+	list := a.FillOrder[0][0]
+	if len(list) != f || cap(list) == len(list) {
+		t.Fatalf("fill list len %d cap %d: the test needs an append-grown list of %d", len(list), cap(list), f)
+	}
+	want := int64(f*8 + 2*f*8 + cap(list)*4 + 8)
+	if got := a.ApproxBytes(); got != want {
+		t.Errorf("ApproxBytes = %d, want %d (fill list len %d, cap %d)", got, want, len(list), cap(list))
 	}
 }
