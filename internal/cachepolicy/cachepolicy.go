@@ -206,58 +206,26 @@ func (a *Assignment) LocalAvail(w int, k int32, pos int32) int {
 	return c
 }
 
-// LocalWords exposes worker w's packed placement row (read-only) for fused
-// simulator loops; decode with UnpackLocal.
+// LocalWords exposes worker w's packed placement row (read-only) for
+// word-level scans over every sample; decode with UnpackLocal.
 func (a *Assignment) LocalWords(w int) []uint64 { return a.local[w] }
 
 // HolderWords exposes the packed best-two holder arrays (read-only) for
-// fused simulator loops; decode with UnpackHolder.
+// word-level scans over every sample; decode with HolderAny.
 func (a *Assignment) HolderWords() (best1, best2 []uint64) { return a.best1, a.best2 }
 
 // UnpackLocal decodes one LocalWords entry into (class, availability
 // position); class is -1 for samples not cached there.
 func UnpackLocal(v uint64) (class int, pos int32) { return unpackClass(v), unpackPos(v) }
 
-// UnpackHolder decodes one HolderWords entry into (class, worker,
-// availability position); class is -1 for empty slots.
-func UnpackHolder(v uint64) (class int, worker int32, pos int32) {
-	return unpackClass(v), unpackWorker(v), unpackPos(v)
-}
-
-// AvailClass decodes one LocalWords entry exactly as LocalAvail does: the
-// caching class if the copy exists by stream position pos, else -1. Small
-// enough to inline into fused simulator kernels.
-func AvailClass(v uint64, pos int32) int {
-	c := int(v&0xff) - 1
-	if c < 0 {
-		return -1
-	}
-	if p := int32(uint32(v>>packPosShift)) - 2; p != AlwaysAvail && p >= pos {
-		return -1
-	}
-	return c
-}
-
-// HolderFor decodes one HolderWords entry exactly as RemoteAvail does for a
-// single slot: the class if the slot holds a copy on a worker other than
-// asker that exists by stream position pos, else -1.
-func HolderFor(v uint64, asker, pos int32) int {
-	if v == 0 || int32(uint32(v>>packWorkShift)) == asker {
-		return -1
-	}
-	if p := int32(uint32(v>>packPosShift)) - 2; p != AlwaysAvail && p >= pos {
-		return -1
-	}
-	return int(v&0xff) - 1
-}
-
-// HolderAny is HolderFor without the progress check — the word-level form of
-// RemoteBest for one slot.
+// HolderAny decodes one HolderWords entry as RemoteBest does for a single
+// slot: the class if the slot holds a copy on a worker other than asker,
+// else -1.
 func HolderAny(v uint64, asker int32) int {
-	if v == 0 || int32(uint32(v>>packWorkShift)) == asker {
+	if v == 0 || unpackWorker(v) == asker {
 		return -1
 	}
-	return int(v&0xff) - 1
+	return unpackClass(v)
 }
 
 // RemoteBest returns the fastest class holding sample k on any worker other

@@ -65,9 +65,6 @@ func (r *Rates) LocalRate(j int) float64 { return r.local[j] }
 // RemoteRate returns min(b_c, r_j(p_j)/p_j) for class j.
 func (r *Rates) RemoteRate(j int) float64 { return r.remote[j] }
 
-// WriteRate returns min(β, w₀(p₀)/p₀), WriteTime's binding divisor.
-func (r *Rates) WriteRate() float64 { return r.write }
-
 // FetchPFS is Model.FetchPFS through the compiled table.
 func (r *Rates) FetchPFS(sizeMB float64, clients int) float64 {
 	return sizeMB / r.PFSRate(clients)

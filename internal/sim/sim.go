@@ -314,17 +314,14 @@ func (e *Env) Gamma() int {
 	return g
 }
 
-// ewmaAlpha is the γ-estimate smoothing factor; the span kernels inline the
-// same recurrence, so it is shared rather than local to notePFS.
-const ewmaAlpha = 0.02
-
 // notePFS folds one fetch outcome into the γ estimate.
 func (e *Env) notePFS(hitPFS bool) {
+	const alpha = 0.02 // smoothing factor
 	v := 0.0
 	if hitPFS {
 		v = 1
 	}
-	e.ewma += ewmaAlpha * (v - e.ewma)
+	e.ewma += alpha * (v - e.ewma)
 }
 
 // pfsJitter returns a mean-one log-normal multiplier.
@@ -505,11 +502,10 @@ func (t *threadPool) schedule(roomTime, readDur float64) float64 {
 	}
 }
 
-// simState is the hot-loop state of one simulate() call, shared between the
-// event-driven segment driver and the per-policy inner kernels. All fields
-// that float arithmetic flows through are updated in exactly the operation
-// order of the original per-sample loop, so every kernel is bit-identical to
-// the generic path by construction.
+// simState is the hot-loop state of one simulate() call: the pipeline
+// model's clocks, the staging window, and the accumulators that simulate()
+// folds into the Result once the event-driven segment driver has run
+// runGeneric over every segment of the stream.
 type simState struct {
 	env    *Env
 	pol    Policy
@@ -618,11 +614,10 @@ func (s *simState) step(sz, readDur float64) {
 	s.prevComputeDone = computeDone
 }
 
-// runGeneric is the exact per-sample path: policy dispatch through the
-// interface, chaos adjustment, and the full pipeline. It handles every
-// policy and every chaos schedule; the specialized kernels below are
-// shortcuts for the fault-free runs of policies whose source decision is
-// known in closed form.
+// runGeneric is the simulator's one per-sample loop: the policy's source
+// decision through the interface, γ feedback, PFS concurrency and jitter,
+// chaos adjustment, and the staging pipeline step. It serves every policy,
+// every access pattern and every chaos schedule.
 func (s *simState) runGeneric(f0, stop int) {
 	env := s.env
 	for f := f0; f < stop; f++ {
@@ -662,231 +657,13 @@ func (s *simState) runGeneric(f0, stop int) {
 	}
 }
 
-// runPFSConst is the span kernel for policies that always fetch from the PFS
-// at the constant all-readers rate (Naive, StagingBuffer; both have p0 = 1):
-// every fetch is sz/rate, γ feedback pins ewma at 1 (each outcome is a PFS
-// hit), and the p0=1 concurrency factor never exceeds 1.
-func (s *simState) runPFSConst(f0, stop int, rate float64) {
-	env := s.env
-	// ewma == 1 makes the γ update a no-op (1 + α·(1-1) == 1 exactly), and
-	// PFS-only policies can never lower it, so the recurrence is hoisted.
-	if env.ewma != 1 {
-		for f := f0; f < stop; f++ {
-			env.ewma += ewmaAlpha * (1 - env.ewma)
-		}
-	}
-	wr := env.Rate.WriteRate()
-	for f := f0; f < stop; f++ {
-		sz := s.sizes[s.stream[f]]
-		sec := (sz / rate) * s.batchJitter
-		s.locSec[perfmodel.LocPFS] += sec
-		write := sz / wr
-		s.stagingWrite += write
-		s.step(sz, sec+write)
-	}
-	s.locCnt[perfmodel.LocPFS] += int64(stop - f0)
-}
-
-// runLowerBound is the span kernel for the Perfect policy: fetches cost
-// exactly 0 seconds from LocLocal, so only the staging write and compute
-// recurrence remain. The γ estimate still decays per sample (every outcome
-// is a PFS miss), preserving the recurrence bit for bit.
-func (s *simState) runLowerBound(f0, stop int) {
-	env := s.env
-	wr := env.Rate.WriteRate()
-	for f := f0; f < stop; f++ {
-		sz := s.sizes[s.stream[f]]
-		env.ewma += ewmaAlpha * (0 - env.ewma)
-		write := sz / wr
-		s.stagingWrite += write
-		// choice.Seconds == 0: locSec[LocLocal] accumulates +0.0 (identity)
-		// and readDur = 0 + write == write bitwise.
-		s.step(sz, write)
-	}
-	s.locCnt[perfmodel.LocLocal] += int64(stop - f0)
-}
-
-// runNoPFS is the devirtualized kernel for the NoPFS policy (and its
-// ablations) on fault-free runs: packed-word availability lookups, compiled
-// rate tables, and inline γ tracking — the same operations Source + the
-// generic loop perform, with the interface dispatch and repeated
-// slice-header loads removed. noRemote reproduces the NoRemote ablation
-// (peer fetches disabled).
-func (s *simState) runNoPFS(f0, stop int, a *cachepolicy.Assignment, noRemote bool) {
-	env := s.env
-	rate := env.Rate
-	nWorkers := float64(env.Plan.N)
-	p0f := float64(s.p0)
-	wr := rate.WriteRate()
-	local := a.LocalWords(0)
-	b1, b2 := a.HolderWords()
-	for f := f0; f < stop; f++ {
-		k := s.stream[f]
-		sz := s.sizes[k]
-		// Packed-word availability, decoded inline (same logic as
-		// LocalAvail / RemoteAvail; see cachepolicy.AvailClass/HolderFor).
-		localClass := cachepolicy.AvailClass(local[k], int32(f))
-		remoteClass := -1
-		if !noRemote {
-			remoteClass = cachepolicy.HolderFor(b1[k], 0, int32(f))
-			if remoteClass < 0 {
-				remoteClass = cachepolicy.HolderFor(b2[k], 0, int32(f))
-			}
-		}
-		g := int(math.Round(env.ewma * nWorkers))
-		if g < 1 {
-			g = 1
-		}
-		choice := rate.Best(sz, localClass, remoteClass, g)
-		if choice.Loc == perfmodel.LocPFS {
-			env.ewma += ewmaAlpha * (1 - env.ewma)
-			conc := env.ewma * p0f
-			if conc > 1 {
-				choice.Seconds *= conc
-			}
-			choice.Seconds *= s.batchJitter
-		} else {
-			env.ewma += ewmaAlpha * (0 - env.ewma)
-		}
-		write := sz / wr
-		s.locSec[choice.Loc] += choice.Seconds
-		s.locCnt[choice.Loc]++
-		s.stagingWrite += write
-		s.step(sz, choice.Seconds+write)
-	}
-}
-
-// runTiered is the devirtualized kernel for the tiered-cache baselines on
-// fault-free runs. Their Source methods share one shape — local hit, else
-// (optionally) best remote holder, else PFS at the γ estimate:
-//
-//   - DeepIO / LBANN check progress-gated availability (byAvail=true,
-//     useRemote=true);
-//   - ParallelStaging consults only its static local shard (byAvail=false,
-//     useRemote=false);
-//   - LocalityAware adds the ungated best remote holder (byAvail=false,
-//     useRemote=true).
-func (s *simState) runTiered(f0, stop int, a *cachepolicy.Assignment, byAvail, useRemote bool) {
-	env := s.env
-	rate := env.Rate
-	p0f := float64(s.p0)
-	wr := rate.WriteRate()
-	local := a.LocalWords(0)
-	b1, b2 := a.HolderWords()
-	for f := f0; f < stop; f++ {
-		k := s.stream[f]
-		sz := s.sizes[k]
-		var lc int
-		if byAvail {
-			lc = cachepolicy.AvailClass(local[k], int32(f))
-		} else {
-			lc, _ = cachepolicy.UnpackLocal(local[k])
-		}
-		var choice perfmodel.Choice
-		if lc >= 0 {
-			choice = perfmodel.Choice{Loc: perfmodel.LocLocal, Class: lc, Seconds: rate.FetchLocal(sz, lc)}
-		} else {
-			rc := -1
-			if useRemote {
-				if byAvail {
-					rc = cachepolicy.HolderFor(b1[k], 0, int32(f))
-					if rc < 0 {
-						rc = cachepolicy.HolderFor(b2[k], 0, int32(f))
-					}
-				} else {
-					rc = cachepolicy.HolderAny(b1[k], 0)
-					if rc < 0 {
-						rc = cachepolicy.HolderAny(b2[k], 0)
-					}
-				}
-			}
-			if rc >= 0 {
-				choice = perfmodel.Choice{Loc: perfmodel.LocRemote, Class: rc, Seconds: rate.FetchRemote(sz, rc)}
-			} else {
-				choice = perfmodel.Choice{Loc: perfmodel.LocPFS, Class: -1, Seconds: rate.FetchPFS(sz, env.Gamma())}
-			}
-		}
-		env.notePFS(choice.Loc == perfmodel.LocPFS)
-		if choice.Loc == perfmodel.LocPFS {
-			conc := env.ewma * p0f
-			if conc > 1 {
-				choice.Seconds *= conc
-			}
-			choice.Seconds *= s.batchJitter
-		}
-		write := sz / wr
-		s.locSec[choice.Loc] += choice.Seconds
-		s.locCnt[choice.Loc]++
-		s.stagingWrite += write
-		s.step(sz, choice.Seconds+write)
-	}
-}
-
-// kernelKind selects a specialized inner kernel for the fault-free runs of
-// closed-form policies; kernelGeneric is the exact fallback.
-type kernelKind int
-
-const (
-	kernelGeneric kernelKind = iota
-	kernelPFSConst
-	kernelLowerBound
-	kernelNoPFS
-	kernelTiered
-)
-
-// kernel is the resolved inner-loop strategy for one simulate() call.
-type kernel struct {
-	kind               kernelKind
-	assign             *cachepolicy.Assignment
-	byAvail, useRemote bool // kernelTiered shape
-	noRemote           bool // kernelNoPFS ablation
-}
-
-// kernelFor picks the span kernel for the policy. Chaos schedules force the
-// generic path: per-fetch fault adjustment depends on the stream index, the
-// resolved epoch factors, and the holder rank, which only the generic loop
-// threads through. Elastic membership schedules force it for the same
-// precondition-break reason: the specialized kernels assume uniform epoch
-// spans. Content patterns (zipf, boost, curriculum, mix) keep the
-// specialized kernels — they change which samples appear where, not the
-// per-fetch cost structure. Every kernel is bit-identical to runGeneric for
-// its policy — the equivalence tests compare them directly, including under
-// non-uniform patterns.
-func kernelFor(pol Policy, sched *chaos.Schedule, elastic bool) kernel {
-	if sched != nil || elastic {
-		return kernel{kind: kernelGeneric}
-	}
-	switch p := pol.(type) {
-	case naive, stagingBuffer:
-		return kernel{kind: kernelPFSConst}
-	case lowerBound:
-		return kernel{kind: kernelLowerBound}
-	case *nopfs:
-		return kernel{kind: kernelNoPFS, assign: p.assign}
-	case *nopfsAblated:
-		return kernel{kind: kernelNoPFS, assign: p.assign, noRemote: p.v.NoRemote}
-	case *deepIO:
-		return kernel{kind: kernelTiered, assign: p.assign, byAvail: true, useRemote: true}
-	case *lbann:
-		return kernel{kind: kernelTiered, assign: p.assign, byAvail: true, useRemote: true}
-	case *parallelStaging:
-		return kernel{kind: kernelTiered, assign: p.assign}
-	case *localityAware:
-		return kernel{kind: kernelTiered, assign: p.assign, useRemote: true}
-	}
-	return kernel{kind: kernelGeneric}
-}
-
 // simulate runs the staging-pipeline model over the stream.
 //
 // The loop is event-driven: the stream is cut into segments bounded by the
 // next batch edge and the next epoch boundary — the only places where
 // jitter is redrawn, series are recorded, or chaos factors re-resolve — and
-// each segment runs under a per-policy inner kernel with all boundary checks
-// hoisted out. Outputs are bit-identical to the historical per-sample loop:
-// the kernels perform the same float operations in the same order and the
-// specialized ones exist only where the source decision is constant or
-// closed-form (see internal/sim equivalence tests).
+// runGeneric runs each segment with those boundary checks hoisted out. The
+// golden in testdata/golden_results.json pins the outputs bit for bit.
 //
 // epochEnds, when non-nil, carries the cumulative stream position at which
 // each epoch ends (chaos crash redistribution makes epochs unequal); nil
@@ -987,12 +764,6 @@ func simulate(env *Env, pol Policy, stream []access.SampleID, setup float64, res
 		}
 	}
 
-	ker := kernelFor(pol, s.sched, env.Plan.Elastic())
-	var pfsRate float64
-	if ker.kind == kernelPFSConst {
-		pfsRate = env.Rate.PFSRate(env.Plan.N)
-	}
-
 	n := len(stream)
 	for f := 0; f < n; {
 		if f%batch == 0 {
@@ -1009,18 +780,7 @@ func simulate(env *Env, pol Policy, stream []access.SampleID, setup float64, res
 			stop = n
 		}
 
-		switch ker.kind {
-		case kernelPFSConst:
-			s.runPFSConst(f, stop, pfsRate)
-		case kernelLowerBound:
-			s.runLowerBound(f, stop)
-		case kernelNoPFS:
-			s.runNoPFS(f, stop, ker.assign, ker.noRemote)
-		case kernelTiered:
-			s.runTiered(f, stop, ker.assign, ker.byAvail, ker.useRemote)
-		default:
-			s.runGeneric(f, stop)
-		}
+		s.runGeneric(f, stop)
 		f = stop
 
 		if f%batch == 0 || f == n {
