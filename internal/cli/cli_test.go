@@ -70,56 +70,6 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestShimMatchesSubcommand proves the deprecated standalone entry points and
-// the subcommand dispatch share one implementation byte for byte: same exit
-// code, same stdout.
-func TestShimMatchesSubcommand(t *testing.T) {
-	cases := []struct {
-		name string
-		shim func(prog string, args []string, stdout, stderr *bytes.Buffer) int
-		sub  string
-		args []string
-	}{
-		{
-			name: "sim table1",
-			shim: func(prog string, args []string, stdout, stderr *bytes.Buffer) int {
-				return RunSim(prog, args, stdout, stderr)
-			},
-			sub:  "sim",
-			args: []string{"-table1"},
-		},
-		{
-			name: "sim scenario",
-			shim: func(prog string, args []string, stdout, stderr *bytes.Buffer) int {
-				return RunSim(prog, args, stdout, stderr)
-			},
-			sub:  "sim",
-			args: []string{"-scenario", "fig8a", "-scale", "0.01", "-seed", "7"},
-		},
-		{
-			name: "access",
-			shim: func(prog string, args []string, stdout, stderr *bytes.Buffer) int {
-				return RunAccess(prog, args, stdout, stderr)
-			},
-			sub:  "access",
-			args: []string{"-f", "2000", "-n", "4", "-e", "3"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var shimOut, shimErr, subOut, subErr bytes.Buffer
-			shimCode := tc.shim("nopfs-"+tc.sub, tc.args, &shimOut, &shimErr)
-			subCode := Main(append([]string{tc.sub}, tc.args...), &subOut, &subErr)
-			if shimCode != subCode {
-				t.Fatalf("exit codes differ: shim %d, subcommand %d", shimCode, subCode)
-			}
-			if !bytes.Equal(shimOut.Bytes(), subOut.Bytes()) {
-				t.Fatalf("stdout differs:\nshim:\n%s\nsubcommand:\n%s", shimOut.String(), subOut.String())
-			}
-		})
-	}
-}
-
 // drift is one permitted cross-command flag difference.
 type drift struct{ flag, command string }
 
