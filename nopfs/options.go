@@ -97,8 +97,7 @@ func WithVerifySamples(verify bool) Option {
 }
 
 // WithFabric selects the cluster fabric by registry name (FabricChan,
-// FabricTCP, or a custom RegisterFabric name). It supersedes the deprecated
-// Options.UseTCP switch.
+// FabricTCP, or a custom RegisterFabric name).
 func WithFabric(name string) Option {
 	return func(o *Options) { o.Fabric = name }
 }
@@ -169,21 +168,16 @@ func WithFetchTrace(w io.Writer) Option {
 	return func(o *Options) { o.TraceFetches = w }
 }
 
-// fabricName resolves the effective fabric name: an explicit Fabric wins;
-// the deprecated UseTCP flag maps to FabricTCP; the default is FabricChan.
+// fabricName resolves the effective fabric name: Fabric, or FabricChan when
+// it is empty.
 func (o Options) fabricName() string {
-	switch {
-	case o.Fabric != "":
+	if o.Fabric != "" {
 		return o.Fabric
-	case o.UseTCP:
-		return FabricTCP
-	default:
-		return FabricChan
 	}
+	return FabricChan
 }
 
-// fabric resolves the run's Fabric from the registry, applying the UseTCP
-// compatibility shim.
+// fabric resolves the run's Fabric from the registry.
 func (o Options) fabric() (Fabric, error) {
 	return FabricByName(o.fabricName())
 }

@@ -48,20 +48,19 @@ func TestFunctionalOptionsCompose(t *testing.T) {
 	}
 }
 
-// TestUseTCPFabricShim pins the deprecation satellite: the legacy UseTCP
-// switch still selects the TCP fabric, but only while the new Fabric field
-// is unset.
-func TestUseTCPFabricShim(t *testing.T) {
+// TestFabricSelection pins fabric resolution: an empty Fabric means the
+// chan fabric; an explicit Fabric or WithFabric selects by registry name,
+// and a later WithFabric overrides a struct literal's Fabric.
+func TestFabricSelection(t *testing.T) {
 	cases := []struct {
 		name string
 		opts Options
 		want string
 	}{
 		{"default", Options{}, FabricChan},
-		{"legacy UseTCP", Options{UseTCP: true}, FabricTCP},
-		{"explicit fabric wins over UseTCP", Options{UseTCP: true, Fabric: FabricChan}, FabricChan},
+		{"explicit fabric", Options{Fabric: FabricTCP}, FabricTCP},
 		{"WithFabric", NewOptions(WithFabric(FabricTCP)), FabricTCP},
-		{"WithFabric over legacy", NewOptions(WithOptions(Options{UseTCP: true}), WithFabric(FabricChan)), FabricChan},
+		{"WithFabric over struct", NewOptions(WithOptions(Options{Fabric: FabricTCP}), WithFabric(FabricChan)), FabricChan},
 	}
 	for _, tc := range cases {
 		if got := tc.opts.fabricName(); got != tc.want {
@@ -71,14 +70,6 @@ func TestUseTCPFabricShim(t *testing.T) {
 		if err != nil || f.Name() != tc.want {
 			t.Errorf("%s: fabric() = %v, %v", tc.name, f, err)
 		}
-	}
-	// And end to end: a UseTCP cluster still runs over real sockets.
-	ds := testDataset(t, 32)
-	opts := baseOptions()
-	opts.UseTCP = true
-	opts.Epochs = 1
-	if _, err := RunCluster(context.Background(), ds, 2, opts, DrainAll(nil)); err != nil {
-		t.Fatalf("legacy UseTCP cluster failed: %v", err)
 	}
 }
 
