@@ -268,6 +268,55 @@ func TestSourceStringAndSampleFields(t *testing.T) {
 	}
 }
 
+// TestSampleSourceMatchesFetches checks that every delivered Sample reports
+// the source its staging fetch came from: on a fault-free chan-fabric
+// cluster that consumes every sample, each rank's histogram of
+// Sample.Source equals its Stats.Fetches.
+func TestSampleSourceMatchesFetches(t *testing.T) {
+	const workers = 3
+	ds := testDataset(t, 96)
+	opts := baseOptions()
+	opts.Fabric = FabricChan
+	hist := make([]map[Source]int64, workers)
+	stats, err := RunCluster(bg, ds, workers, opts, func(ctx context.Context, j *Job) error {
+		h := map[Source]int64{}
+		for s, err := range j.Samples(ctx) {
+			if err != nil {
+				return err
+			}
+			h[s.Source]++
+		}
+		hist[j.Rank()] = h // each rank writes only its own slot
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := map[Source]int64{}
+	for _, st := range stats {
+		h := hist[st.Rank]
+		for _, src := range []Source{SourcePFS, SourceRemote, SourceLocal} {
+			if h[src] != st.Fetches[src] {
+				t.Errorf("rank %d: %d samples report source %v, Stats.Fetches has %d", st.Rank, h[src], src, st.Fetches[src])
+			}
+			total[src] += h[src]
+		}
+		if len(h) > 3 {
+			t.Errorf("rank %d: unexpected sources %v", st.Rank, h)
+		}
+		var n int64
+		for _, c := range h {
+			n += c
+		}
+		if n != st.Delivered {
+			t.Errorf("rank %d: histogram covers %d samples, delivered %d", st.Rank, n, st.Delivered)
+		}
+	}
+	if total[SourcePFS] == 0 || total[SourceLocal]+total[SourceRemote] == 0 {
+		t.Errorf("cluster fetch mix %v does not exercise both the PFS and the caches", total)
+	}
+}
+
 func BenchmarkClusterEndToEnd(b *testing.B) {
 	ds := dataset.MustNew(dataset.Spec{
 		Name: "bench", F: 256, MeanSize: 4096, Classes: 10, Seed: 3,
