@@ -8,9 +8,12 @@ import (
 
 // Entry is one staged sample.
 type Entry struct {
-	Pos  int
-	ID   int32
-	Data []byte
+	Pos int
+	ID  int32
+	// Source is a producer-defined tag (nopfs: where the sample was
+	// fetched from), returned unchanged by Pop.
+	Source uint8
+	Data   []byte
 }
 
 // Staging is the staging buffer of paper Sec. 5.2.2: a byte-budget circular
@@ -65,13 +68,13 @@ func (s *Staging) watch(ctx context.Context) (stop func() bool) {
 	})
 }
 
-// Push inserts the sample fetched for stream position pos, blocking while
+// Push inserts the sample fetched for stream position e.Pos, blocking while
 // the byte budget is exhausted. The producer owning the next position to be
 // consumed is always admitted, so a sample larger than the whole budget
 // cannot deadlock the pipeline. Canceling ctx unblocks the call with ctx's
 // error.
-func (s *Staging) Push(ctx context.Context, pos int, id int32, data []byte) error {
-	size := int64(len(data))
+func (s *Staging) Push(ctx context.Context, e Entry) error {
+	pos, size := e.Pos, int64(len(e.Data))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var stop func() bool
@@ -91,7 +94,7 @@ func (s *Staging) Push(ctx context.Context, pos int, id int32, data []byte) erro
 	if _, dup := s.pending[pos]; dup {
 		return errors.New("storage: duplicate staging position")
 	}
-	s.pending[pos] = Entry{Pos: pos, ID: id, Data: data}
+	s.pending[pos] = e
 	s.used += size
 	s.notEmpty.Broadcast()
 	return nil

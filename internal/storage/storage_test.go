@@ -327,7 +327,8 @@ func TestStagingInOrderDelivery(t *testing.T) {
 		wg.Add(1)
 		go func(pos int) {
 			defer wg.Done()
-			if err := s.Push(bg, pos, int32(pos*10), []byte{byte(pos)}); err != nil {
+			e := Entry{Pos: pos, ID: int32(pos * 10), Source: uint8(pos % 3), Data: []byte{byte(pos)}}
+			if err := s.Push(bg, e); err != nil {
 				t.Errorf("push %d: %v", pos, err)
 			}
 		}(pos)
@@ -337,8 +338,8 @@ func TestStagingInOrderDelivery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Pos != i || e.ID != int32(i*10) {
-			t.Fatalf("pop %d returned pos %d id %d", i, e.Pos, e.ID)
+		if e.Pos != i || e.ID != int32(i*10) || e.Source != uint8(i%3) {
+			t.Fatalf("pop %d returned pos %d id %d source %d", i, e.Pos, e.ID, e.Source)
 		}
 	}
 	wg.Wait()
@@ -349,12 +350,12 @@ func TestStagingInOrderDelivery(t *testing.T) {
 
 func TestStagingBudgetBlocks(t *testing.T) {
 	s := NewStaging(10)
-	if err := s.Push(bg, 0, 0, make([]byte, 8)); err != nil {
+	if err := s.Push(bg, Entry{Pos: 0, ID: 0, Data: make([]byte, 8)}); err != nil {
 		t.Fatal(err)
 	}
 	pushed := make(chan struct{})
 	go func() {
-		s.Push(bg, 1, 1, make([]byte, 8)) // must block: 16 > 10
+		s.Push(bg, Entry{Pos: 1, ID: 1, Data: make([]byte, 8)}) // must block: 16 > 10
 		close(pushed)
 	}()
 	select {
@@ -378,7 +379,7 @@ func TestStagingOversizedSampleNoDeadlock(t *testing.T) {
 	s := NewStaging(4)
 	done := make(chan error, 1)
 	go func() {
-		done <- s.Push(bg, 0, 0, make([]byte, 64))
+		done <- s.Push(bg, Entry{Pos: 0, ID: 0, Data: make([]byte, 64)})
 	}()
 	select {
 	case err := <-done:
@@ -395,7 +396,7 @@ func TestStagingOversizedSampleNoDeadlock(t *testing.T) {
 
 func TestStagingClose(t *testing.T) {
 	s := NewStaging(100)
-	s.Push(bg, 0, 5, []byte("x"))
+	s.Push(bg, Entry{Pos: 0, ID: 5, Data: []byte("x")})
 	s.Close()
 	// Drains staged prefix first.
 	if e, err := s.Pop(bg); err != nil || e.ID != 5 {
@@ -404,7 +405,7 @@ func TestStagingClose(t *testing.T) {
 	if _, err := s.Pop(bg); err != ErrClosed {
 		t.Fatalf("expected ErrClosed, got %v", err)
 	}
-	if err := s.Push(bg, 1, 6, []byte("y")); err != ErrClosed {
+	if err := s.Push(bg, Entry{Pos: 1, ID: 6, Data: []byte("y")}); err != ErrClosed {
 		t.Fatalf("push after close: %v", err)
 	}
 }
@@ -420,12 +421,12 @@ func TestStagingCancelUnblocks(t *testing.T) {
 		_, err := s.Pop(ctx)
 		popDone <- err
 	}()
-	if err := s.Push(bg, 1, 1, make([]byte, 8)); err != nil { // pos 1: does not satisfy Pop(0)
+	if err := s.Push(bg, Entry{Pos: 1, ID: 1, Data: make([]byte, 8)}); err != nil { // pos 1: does not satisfy Pop(0)
 		t.Fatal(err)
 	}
 	pushDone := make(chan error, 1)
 	go func() {
-		pushDone <- s.Push(ctx, 2, 2, make([]byte, 8)) // blocks: budget full, not next pop
+		pushDone <- s.Push(ctx, Entry{Pos: 2, ID: 2, Data: make([]byte, 8)}) // blocks: budget full, not next pop
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
@@ -440,7 +441,7 @@ func TestStagingCancelUnblocks(t *testing.T) {
 		}
 	}
 	// The buffer itself is still healthy under a live context.
-	if err := s.Push(bg, 0, 0, []byte("z")); err != nil {
+	if err := s.Push(bg, Entry{Pos: 0, ID: 0, Data: []byte("z")}); err != nil {
 		t.Fatal(err)
 	}
 	if e, err := s.Pop(bg); err != nil || e.Pos != 0 {
@@ -450,8 +451,8 @@ func TestStagingCancelUnblocks(t *testing.T) {
 
 func TestStagingDuplicatePosition(t *testing.T) {
 	s := NewStaging(100)
-	s.Push(bg, 0, 1, []byte("a"))
-	if err := s.Push(bg, 0, 2, []byte("b")); err == nil {
+	s.Push(bg, Entry{Pos: 0, ID: 1, Data: []byte("a")})
+	if err := s.Push(bg, Entry{Pos: 0, ID: 2, Data: []byte("b")}); err == nil {
 		t.Fatal("duplicate position accepted")
 	}
 }
@@ -461,7 +462,7 @@ func BenchmarkStagingThroughput(b *testing.B) {
 	data := make([]byte, 4096)
 	go func() {
 		for i := 0; i < b.N; i++ {
-			s.Push(bg, i, int32(i), data)
+			s.Push(bg, Entry{Pos: i, ID: int32(i), Data: data})
 		}
 	}()
 	b.SetBytes(4096)

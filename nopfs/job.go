@@ -92,11 +92,6 @@ type Job struct {
 	fatalMu sync.Mutex
 	fatal   error
 
-	// sources records the fetch source per staged position so Get can
-	// report it alongside the sample.
-	sourceMu sync.Mutex
-	sources  map[int]Source
-
 	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -458,13 +453,8 @@ func (j *Job) stagingPrefetcher() {
 		if j.met != nil {
 			j.met.stagedFetch(pos, k, j.epochOf(pos), src, len(data), time.Since(fetchStart).Seconds())
 		}
-		j.sourceMu.Lock()
-		if j.sources == nil {
-			j.sources = map[int]Source{}
-		}
-		j.sources[pos] = src
-		j.sourceMu.Unlock()
-		if err := j.staging.Push(j.ctx, pos, k, data); err != nil {
+		e := storage.Entry{Pos: pos, ID: k, Source: uint8(src), Data: data}
+		if err := j.staging.Push(j.ctx, e); err != nil {
 			if !j.benign(err) {
 				j.fail(err)
 			}
@@ -696,11 +686,6 @@ func (j *Job) Get(ctx context.Context) (Sample, bool, error) {
 		}
 		return Sample{}, false, nil // clean end of stream (or Close)
 	}
-	j.sourceMu.Lock()
-	src := j.sources[e.Pos]
-	delete(j.sources, e.Pos)
-	j.sourceMu.Unlock()
-
 	j.delivered.Add(1)
 	j.met.deliver()
 	j.met.stagingBytes(j.staging.Used())
@@ -716,7 +701,7 @@ func (j *Job) Get(ctx context.Context) (Sample, bool, error) {
 		Data:      e.Data,
 		Epoch:     epoch,
 		Iteration: iter,
-		Source:    src,
+		Source:    Source(e.Source),
 	}
 	if e.Pos == len(j.stream)-1 {
 		j.staging.Close()
