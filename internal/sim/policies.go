@@ -495,10 +495,3 @@ func doubleBufferMB(env *Env) float64 {
 	}
 	return mb
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
