@@ -157,8 +157,7 @@ type textAggregator struct {
 }
 
 // NewTextAggregator returns an Aggregator that streams the same text report
-// WriteText produces, byte for byte (for grids with unique scenario IDs, the
-// only kind the constructors build).
+// WriteText produces, byte for byte.
 func NewTextAggregator(w io.Writer) Aggregator {
 	return &textAggregator{w: w}
 }

@@ -379,6 +379,11 @@ func (g *Grid) Validate() error {
 	if len(g.Policies) == 0 {
 		return fmt.Errorf("sweep: grid %q has no policies", g.Name)
 	}
+	// Every axis needs unique names: reports group cells by name, so a
+	// repeated one would split or merge summary groups.
+	if err := g.uniqueNames(); err != nil {
+		return err
+	}
 	for _, prof := range g.Profiles {
 		// An explicit axis needs distinguishable column labels (the empty
 		// Profile itself is legal: the fault-free baseline column).
@@ -429,4 +434,28 @@ func (g *Grid) Validate() error {
 		}
 	}
 	return nil
+}
+
+// uniqueNames rejects a name repeated within any of the grid's four axes.
+func (g *Grid) uniqueNames() error {
+	check := func(axis string, n int, name func(int) string) error {
+		seen := make(map[string]bool, n)
+		for i := 0; i < n; i++ {
+			if seen[name(i)] {
+				return fmt.Errorf("sweep: grid %q repeats %s %q", g.Name, axis, name(i))
+			}
+			seen[name(i)] = true
+		}
+		return nil
+	}
+	if err := check("scenario", len(g.Scenarios), func(i int) string { return g.Scenarios[i].ID }); err != nil {
+		return err
+	}
+	if err := check("policy", len(g.Policies), func(i int) string { return g.Policies[i].Name }); err != nil {
+		return err
+	}
+	if err := check("fault profile", len(g.Profiles), func(i int) string { return g.Profiles[i].Name }); err != nil {
+		return err
+	}
+	return check("access pattern", len(g.Patterns), func(i int) string { return g.Patterns[i].Name })
 }

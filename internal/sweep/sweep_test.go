@@ -104,6 +104,39 @@ func TestGridValidate(t *testing.T) {
 	}
 }
 
+// TestGridValidateRejectsRepeatedNames covers each of the four axes: a
+// repeated name would split one summary group in two, and the whole-report
+// group-by would then disagree with the streaming encoders.
+func TestGridValidateRejectsRepeatedNames(t *testing.T) {
+	withAxes := func() *Grid {
+		g := goldenGrid()
+		g.Profiles = []ProfileSpec{{Name: "clean"}, {Name: "faulted"}}
+		g.Patterns = []AccessSpec{{Name: "uniform"}, {Name: "zipf", Spec: "zipf"}}
+		return g
+	}
+	if err := withAxes().Validate(); err != nil {
+		t.Fatalf("grid with unique names rejected: %v", err)
+	}
+	cases := []struct {
+		axis   string
+		repeat func(g *Grid)
+	}{
+		{"scenario", func(g *Grid) { g.Scenarios = append(g.Scenarios, g.Scenarios[0]) }},
+		{"policy", func(g *Grid) { g.Policies = append(g.Policies, g.Policies[1]) }},
+		{"fault profile", func(g *Grid) { g.Profiles = append(g.Profiles, g.Profiles[0]) }},
+		{"access pattern", func(g *Grid) { g.Patterns = append(g.Patterns, g.Patterns[1]) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.axis, func(t *testing.T) {
+			g := withAxes()
+			tc.repeat(g)
+			if err := g.Validate(); err == nil {
+				t.Fatalf("grid with a repeated %s name accepted", tc.axis)
+			}
+		})
+	}
+}
+
 // TestDeterminismAcrossParallelism is the engine's core invariant: the same
 // grid and base seed produce byte-identical JSON and CSV reports whether
 // cells run serially or on an 8-wide pool.
