@@ -66,7 +66,7 @@ func TestGoldenPatternEncoders(t *testing.T) {
 
 // TestPatternStreamingByteIdentity: on grids carrying a pattern axis — the
 // synthetic golden grid and a real simulator grid — the streaming JSON, CSV
-// and text aggregators must stay byte-identical to the buffered writers.
+// and text aggregators must stay byte-identical to the reference writers.
 func TestPatternStreamingByteIdentity(t *testing.T) {
 	axis, err := AccessAxis("zipf:s=1.1,drift=0.05")
 	if err != nil {
@@ -80,13 +80,13 @@ func TestPatternStreamingByteIdentity(t *testing.T) {
 		wantJ, wantC, wantX := encodeInMemory(t, r, g)
 		gotJ, gotC, gotX := encodeStreaming(t, r, g)
 		if !bytes.Equal(wantJ, gotJ) {
-			t.Errorf("grid %s: streaming JSON differs from WriteJSON", g.Name)
+			t.Errorf("grid %s: streaming JSON differs from the reference writer", g.Name)
 		}
 		if !bytes.Equal(wantC, gotC) {
-			t.Errorf("grid %s: streaming CSV differs from WriteCSV", g.Name)
+			t.Errorf("grid %s: streaming CSV differs from the reference writer", g.Name)
 		}
 		if !bytes.Equal(wantX, gotX) {
-			t.Errorf("grid %s: streaming text differs from WriteText", g.Name)
+			t.Errorf("grid %s: streaming text differs from the reference writer", g.Name)
 		}
 	}
 }

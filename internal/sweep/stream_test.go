@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,7 +17,8 @@ import (
 	isim "repro/internal/sim"
 )
 
-// encodeInMemory runs the grid through Run and the whole-report writers.
+// encodeInMemory runs the grid through Run and the reference whole-report
+// writers (see reference_test.go).
 func encodeInMemory(t *testing.T, r *Runner, g *Grid) (jsonB, csvB, textB []byte) {
 	t.Helper()
 	rep, err := r.Run(bg, g)
@@ -24,13 +26,13 @@ func encodeInMemory(t *testing.T, r *Runner, g *Grid) (jsonB, csvB, textB []byte
 		t.Fatal(err)
 	}
 	var j, c, x bytes.Buffer
-	if err := WriteJSON(&j, rep); err != nil {
+	if err := referenceWriteJSON(&j, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSV(&c, rep); err != nil {
+	if err := referenceWriteCSV(&c, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteText(&x, rep); err != nil {
+	if err := referenceWriteText(&x, rep); err != nil {
 		t.Fatal(err)
 	}
 	return j.Bytes(), c.Bytes(), x.Bytes()
@@ -113,8 +115,8 @@ func randomFuncGrid(rng *rand.Rand) *Grid {
 // TestStreamEncodersMatchWritersRandomized is the streaming property test:
 // on randomized grids — axis sizes, chaos profile axis, replicas, failures,
 // notes, and pool widths all drawn per trial — the streaming JSON, CSV and
-// text aggregators must produce byte-identical output to the in-memory
-// Report writers.
+// text aggregators must produce byte-identical output to the reference
+// whole-report writers, and the hand-spliced JSON must be valid JSON.
 func TestStreamEncodersMatchWritersRandomized(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 7919))
@@ -122,6 +124,9 @@ func TestStreamEncodersMatchWritersRandomized(t *testing.T) {
 		r := &Runner{Parallel: []int{1, 4, 8}[rng.Intn(3)]}
 		wantJ, wantC, wantX := encodeInMemory(t, r, g)
 		gotJ, gotC, gotX := encodeStreaming(t, r, g)
+		if !json.Valid(gotJ) {
+			t.Fatalf("trial %d (grid %s): streaming JSON is not valid JSON:\n%s", trial, g.Name, gotJ)
+		}
 		if !bytes.Equal(wantJ, gotJ) {
 			t.Fatalf("trial %d (grid %s, parallel %d): streaming JSON differs\nwant:\n%s\ngot:\n%s",
 				trial, g.Name, r.Parallel, wantJ, gotJ)
@@ -150,13 +155,13 @@ func TestStreamEncodersMatchWritersSimulator(t *testing.T) {
 	wantJ, wantC, wantX := encodeInMemory(t, r, g)
 	gotJ, gotC, gotX := encodeStreaming(t, r, g)
 	if !bytes.Equal(wantJ, gotJ) {
-		t.Error("streaming JSON differs from WriteJSON on simulator grid")
+		t.Error("streaming JSON differs from the reference writer on simulator grid")
 	}
 	if !bytes.Equal(wantC, gotC) {
-		t.Error("streaming CSV differs from WriteCSV on simulator grid")
+		t.Error("streaming CSV differs from the reference writer on simulator grid")
 	}
 	if !bytes.Equal(wantX, gotX) {
-		t.Error("streaming text differs from WriteText on simulator grid")
+		t.Error("streaming text differs from the reference writer on simulator grid")
 	}
 }
 
