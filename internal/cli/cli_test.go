@@ -37,6 +37,8 @@ func TestExitCodes(t *testing.T) {
 		{"sim bad chaos", []string{"sim", "-all", "-chaos", "nonsense:spec"}, ExitUsage},
 		{"sim bad access", []string{"sim", "-all", "-access", "nonsense:spec"}, ExitUsage},
 		{"sim bad flag", []string{"sim", "-no-such-flag"}, ExitUsage},
+		{"sim removed -stream", []string{"sim", "-scenario", "fig8a", "-stream"}, ExitUsage},
+		{"train removed -stream", []string{"train", "-fig", "10", "-stream"}, ExitUsage},
 		{"sim table1", []string{"sim", "-table1"}, ExitOK},
 		{"sim runtime error", []string{"sim", "-scenario", "fig8a", "-scale", "0.002"}, ExitError},
 		{"train unknown fig", []string{"train", "-fig", "99"}, ExitUsage},
@@ -112,8 +114,8 @@ func TestFlagGroupsConsistent(t *testing.T) {
 		})
 	}
 	// The groups must actually be shared: every engine flag appears on both
-	// grid commands (train historically lacked -stream).
-	for _, name := range []string{"parallel", "replicas", "format", "chaos", "access", "stream", "config"} {
+	// grid commands.
+	for _, name := range []string{"parallel", "replicas", "format", "chaos", "access", "config"} {
 		for _, cmd := range Commands() {
 			if cmd.Name != "sim" && cmd.Name != "train" {
 				continue
@@ -164,6 +166,17 @@ func TestConfigFile(t *testing.T) {
 		}
 		if err := applyConfigFile(fs, path); err == nil || !isUsage(err) {
 			t.Fatalf("unknown config flag: err = %v, want usage error", err)
+		}
+	})
+
+	t.Run("removed stream flag", func(t *testing.T) {
+		path := write("stream.conf", "stream = true\n")
+		fs, _ := simFlags("nopfs sim")
+		if err := fs.Parse(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := applyConfigFile(fs, path); err == nil || !isUsage(err) {
+			t.Fatalf("stream= in a config file: err = %v, want usage error", err)
 		}
 	})
 
@@ -237,23 +250,5 @@ func TestDryRunExecutesNoCells(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStreamMatchesBuffered pins the train command's new -stream flag: the
-// streamed generic encoders must produce the same bytes as the buffered
-// ones for structured formats.
-func TestStreamMatchesBuffered(t *testing.T) {
-	base := []string{"train", "-fig", "10", "-scale", "0.02", "-gpus", "32", "-format", "csv"}
-	code, buffered, stderr := runMain(base...)
-	if code != ExitOK {
-		t.Fatalf("buffered run: exit %d (stderr: %s)", code, stderr)
-	}
-	code, streamed, stderr := runMain(append(base, "-stream")...)
-	if code != ExitOK {
-		t.Fatalf("streamed run: exit %d (stderr: %s)", code, stderr)
-	}
-	if buffered != streamed {
-		t.Fatalf("-stream csv differs from buffered csv:\nbuffered:\n%s\nstreamed:\n%s", buffered, streamed)
 	}
 }

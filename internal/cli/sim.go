@@ -76,12 +76,16 @@ func RunSim(prog string, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
+		// Every format streams, except the Fig. 9 RAM x SSD matrix: it has
+		// one cell per scenario, so it needs the whole report and has no
+		// room for a fault-profile or access-pattern axis.
 		runner := &sim.Runner{Parallel: o.Parallel}
-		if o.Sweep {
-			if err := runSweep(ctx, stdout, runner, grid, o.Format, profiles, patterns, o.Stream); err != nil {
-				return err
-			}
-		} else if err := emit(ctx, stdout, runner, grid, o.Format, o.Stream); err != nil {
+		if o.Sweep && o.Format == "text" && len(profiles) == 0 && len(patterns) == 0 {
+			err = runSweep(ctx, stdout, runner, grid)
+		} else {
+			err = runner.RunStream(ctx, grid, aggregatorFor(stdout, o.Format))
+		}
+		if err != nil {
 			return err
 		}
 		return stopProf()
@@ -116,21 +120,8 @@ func simGrid(o *simOptions, profiles []sweep.ProfileSpec, patterns []sweep.Acces
 	return grid, nil
 }
 
-// emit runs the grid and writes it in the requested format. With -stream the
-// grid flows through the incremental encoders — identical bytes, but only a
-// bounded window of results resident at once.
-func emit(ctx context.Context, w io.Writer, runner *sim.Runner, grid *sim.Grid, format string, stream bool) error {
-	if stream {
-		return runner.RunStream(ctx, grid, aggregatorFor(w, format))
-	}
-	rep, err := runner.Run(ctx, grid)
-	if err != nil {
-		return err
-	}
-	return write(w, rep, format)
-}
-
-// aggregatorFor picks the streaming encoder for a format.
+// aggregatorFor picks the report encoder for a format; sim and train
+// share it for every output except the bespoke text tables.
 func aggregatorFor(w io.Writer, format string) sim.Aggregator {
 	switch format {
 	case "json":
@@ -142,35 +133,13 @@ func aggregatorFor(w io.Writer, format string) sim.Aggregator {
 	}
 }
 
-// write encodes one report.
-func write(w io.Writer, rep *sim.Report, format string) error {
-	switch format {
-	case "json":
-		return sim.WriteJSON(w, rep)
-	case "csv":
-		return sim.WriteCSV(w, rep)
-	default:
-		return sim.WriteText(w, rep)
-	}
-}
-
-// runSweep renders the Fig. 9 study: environment grid plus staging
-// preliminary as one engine run, so json/csv emit a single document and
-// every format honours -replicas. Text mode keeps the legacy RAM × SSD
-// matrix, with means when the grid ran multiple seeds per cell; with a
-// fault-profile or access-pattern axis — or under -stream, which cannot
-// buffer the whole grid — it falls back to the generic per-profile table
-// (the matrix has one cell per scenario).
-func runSweep(ctx context.Context, w io.Writer, runner *sim.Runner, grid *sim.Grid, format string, profiles []sweep.ProfileSpec, patterns []sweep.AccessSpec, stream bool) error {
-	if stream {
-		return runner.RunStream(ctx, grid, aggregatorFor(w, format))
-	}
+// runSweep renders the Fig. 9 study — environment grid plus staging
+// preliminary, run as one grid — as the legacy RAM x SSD matrix, with means
+// when the grid ran multiple seeds per cell.
+func runSweep(ctx context.Context, w io.Writer, runner *sim.Runner, grid *sim.Grid) error {
 	rep, err := runner.Run(ctx, grid)
 	if err != nil {
 		return err
-	}
-	if format != "text" || len(profiles) > 0 || len(patterns) > 0 {
-		return write(w, rep, format)
 	}
 	byID := map[string]sim.Summary{}
 	for _, s := range rep.Aggregate() {

@@ -21,9 +21,9 @@ type trainOptions struct {
 	CommonFlags
 }
 
-// trainFlags builds the train command's flag set. The group registrations
-// give train the same -stream the sim command always had (the flag-drift
-// fix); -scale and -seed keep their figure-preset defaults.
+// trainFlags builds the train command's flag set. The shared groups give
+// train the same engine flags as sim; -scale and -seed keep their
+// figure-preset defaults.
 func trainFlags(prog string) (*flag.FlagSet, *trainOptions) {
 	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	o := &trainOptions{}
@@ -70,7 +70,6 @@ func RunTrain(prog string, args []string, stdout, stderr io.Writer) int {
 			keepGPUs: keep,
 			profiles: profiles,
 			patterns: patterns,
-			stream:   o.Stream,
 			dryRun:   o.DryRun,
 		}
 		if o.DryRun {
@@ -103,7 +102,6 @@ type trainRun struct {
 	// without the flag; patterns is the -access uniform-vs-pattern axis.
 	profiles []sweep.ProfileSpec
 	patterns []sweep.AccessSpec
-	stream   bool
 	dryRun   bool
 }
 
@@ -186,28 +184,21 @@ func (c trainRun) trim(exps []trainer.Experiment) ([]trainer.Experiment, error) 
 	return out, nil
 }
 
-// run executes one grid through the engine, attaching the -chaos
-// clean-vs-faulted profile axis and the -access uniform-vs-pattern axis
-// (no-ops without the flags).
+// run executes one grid through the engine and returns the whole report,
+// attaching the -chaos clean-vs-faulted profile axis and the -access
+// uniform-vs-pattern axis (no-ops without the flags).
 func (c trainRun) run(grid *sweep.Grid) (*sweep.Report, error) {
 	grid.Profiles = c.profiles
 	grid.Patterns = c.patterns
 	return c.runner.Run(c.ctx, grid)
 }
 
-// runStream executes one grid through the streaming encoders: identical
-// bytes to the buffered generic table, bounded residency.
-func (c trainRun) runStream(grid *sweep.Grid) error {
+// stream executes one grid, with the same axes as run, through the
+// format's report encoder.
+func (c trainRun) stream(grid *sweep.Grid) error {
 	grid.Profiles = c.profiles
 	grid.Patterns = c.patterns
-	switch c.format {
-	case "json":
-		return c.runner.RunStream(c.ctx, grid, sweep.NewJSONAggregator(c.out))
-	case "csv":
-		return c.runner.RunStream(c.ctx, grid, sweep.NewCSVAggregator(c.out))
-	default:
-		return c.runner.RunStream(c.ctx, grid, sweep.NewTextAggregator(c.out))
-	}
+	return c.runner.RunStream(c.ctx, grid, aggregatorFor(c.out, c.format))
 }
 
 // explain is the --dry-run path: print the grid's shape and the plan
@@ -238,8 +229,8 @@ func (c trainRun) explain(grid *sweep.Grid, exps []trainer.Experiment) error {
 // the bespoke figure tables below.
 var rowLabel = sweep.RowLabel
 
-// emitExperiment runs one experiment's grid and writes it in the requested
-// format (generic text table, JSON, or CSV).
+// emitExperiment runs one experiment's grid and streams it in the requested
+// format (titled generic text table, JSON, or CSV).
 func (c trainRun) emitExperiment(title string, exp trainer.Experiment) error {
 	exp, err := c.prep(exp)
 	if err != nil {
@@ -248,41 +239,21 @@ func (c trainRun) emitExperiment(title string, exp trainer.Experiment) error {
 	if c.dryRun {
 		return c.explain(exp.Grid(c.replicas), []trainer.Experiment{exp})
 	}
-	return c.emitGrid(title, exp.Grid(c.replicas))
-}
-
-// emitGrid runs and renders a prepared grid.
-func (c trainRun) emitGrid(title string, grid *sweep.Grid) error {
-	if c.stream {
-		if c.format == "text" {
-			fmt.Fprintln(c.out, title)
-		}
-		return c.runStream(grid)
-	}
-	rep, err := c.run(grid)
-	if err != nil {
-		return err
-	}
 	if c.format == "text" {
 		fmt.Fprintln(c.out, title)
-		return sweep.WriteText(c.out, rep)
 	}
-	return writeReport(c.out, rep, c.format)
+	return c.stream(exp.Grid(c.replicas))
 }
 
-// emitBespoke renders a grid whose text mode has a bespoke table. Under
-// -stream — which cannot buffer the whole grid — text falls back to the
-// generic streaming table, as documented on the flag.
+// emitBespoke renders a grid whose text mode has a bespoke table, which
+// needs the whole report; structured formats stream like every other grid.
 func (c trainRun) emitBespoke(grid *sweep.Grid, text func(rep *sweep.Report)) error {
-	if c.stream {
-		return c.runStream(grid)
+	if c.format != "text" {
+		return c.stream(grid)
 	}
 	rep, err := c.run(grid)
 	if err != nil {
 		return err
-	}
-	if c.format != "text" {
-		return writeReport(c.out, rep, c.format)
 	}
 	text(rep)
 	return nil
@@ -408,16 +379,4 @@ func (c trainRun) emitFig16(scale float64) error {
 			}
 		}
 	})
-}
-
-// writeReport encodes one report.
-func writeReport(w io.Writer, rep *sweep.Report, format string) error {
-	switch format {
-	case "json":
-		return sweep.WriteJSON(w, rep)
-	case "csv":
-		return sweep.WriteCSV(w, rep)
-	default:
-		return sweep.WriteText(w, rep)
-	}
 }

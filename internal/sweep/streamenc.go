@@ -7,10 +7,12 @@ import (
 	"io"
 )
 
-// Streaming encoders: Aggregator implementations that emit the exact bytes
-// of WriteJSON / WriteCSV / WriteText while holding only the open summary
-// group (O(replicas) cells) — never the whole result set. The property tests
-// assert byte identity against the in-memory writers on randomized grids.
+// Streaming encoders: the one implementation of each report format. They
+// are Aggregators holding only the open summary group (O(replicas) cells) —
+// never the whole result set — fed either live by RunStream or by
+// Report.replay behind WriteJSON / WriteCSV / WriteText. The property tests
+// assert byte identity against independent whole-report reference writers
+// on randomized grids.
 
 // jsonHeader mirrors Report's encoded prefix — every field that precedes
 // "cells" in declaration order — so the streaming encoder can emit it with
