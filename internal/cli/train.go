@@ -225,10 +225,6 @@ func (c trainRun) explain(grid *sweep.Grid, exps []trainer.Experiment) error {
 	return nil
 }
 
-// rowLabel is sweep's shared profile-qualified labelling rule, aliased for
-// the bespoke figure tables below.
-var rowLabel = sweep.RowLabel
-
 // emitExperiment runs one experiment's grid and streams it in the requested
 // format (titled generic text table, JSON, or CSV).
 func (c trainRun) emitExperiment(title string, exp trainer.Experiment) error {
@@ -277,7 +273,7 @@ func (c trainRun) emitFig11(exp trainer.Experiment) error {
 				continue
 			}
 			fmt.Fprintf(c.out, "%-24s %-14s %11.3fs %11.3fs %11.3fs\n",
-				s.Scenario, rowLabel(s.Policy, s.Profile, s.Pattern),
+				s.Scenario, sweep.RowLabel(s.Policy, s.Profile, s.Pattern),
 				s.Metric(trainer.MetricBatch0Med).Mean,
 				s.Metric(trainer.MetricBatch0P95).Mean,
 				s.Metric(trainer.MetricBatch0Max).Mean)
@@ -303,7 +299,7 @@ func (c trainRun) emitFig12(exp trainer.Experiment) error {
 				continue
 			}
 			fmt.Fprintf(c.out, "%-24s %11.2fs %7.1f%% %7.1f%% %7.1f%%\n",
-				rowLabel(s.Scenario, s.Profile, s.Pattern),
+				sweep.RowLabel(s.Scenario, s.Profile, s.Pattern),
 				s.Metric(trainer.MetricStallS).Mean,
 				100*s.Metric(trainer.MetricPFSFrac).Mean,
 				100*s.Metric(trainer.MetricRemoteFrac).Mean,
@@ -335,7 +331,7 @@ func (c trainRun) emitFig13(scale float64) error {
 				continue
 			}
 			fmt.Fprintf(c.out, "%-20s %-14s %11.3fs %11.3fs %11.3fs\n",
-				s.Scenario, rowLabel(s.Policy, s.Profile, s.Pattern),
+				s.Scenario, sweep.RowLabel(s.Policy, s.Profile, s.Pattern),
 				s.Metric(trainer.MetricBatchMedian).Mean,
 				s.Metric(trainer.MetricBatchP95).Mean,
 				s.Metric(trainer.MetricBatchMax).Mean)
@@ -367,11 +363,11 @@ func (c trainRun) emitFig16(scale float64) error {
 			}
 			r, ok := cell.Outcome.Payload.(trainer.EndToEndResult)
 			if !ok || len(r.Curve) == 0 {
-				fmt.Fprintf(c.out, "%-14s failed\n", rowLabel(cell.Policy, cell.Profile, cell.Pattern))
+				fmt.Fprintf(c.out, "%-14s failed\n", sweep.RowLabel(cell.Policy, cell.Profile, cell.Pattern))
 				continue
 			}
 			fmt.Fprintf(c.out, "%-14s total %.1f min, final top-1 %.1f%%\n",
-				rowLabel(r.Loader, cell.Profile, cell.Pattern), r.TotalSeconds/60, r.FinalTop1)
+				sweep.RowLabel(r.Loader, cell.Profile, cell.Pattern), r.TotalSeconds/60, r.FinalTop1)
 			for _, pt := range r.Curve {
 				if pt.Epoch%10 == 0 {
 					fmt.Fprintf(c.out, "    epoch %2d  t=%8.1fs  top1=%.1f%%\n", pt.Epoch, pt.Seconds, pt.Top1Percent)

@@ -83,14 +83,14 @@ const textColWidth = 13
 // fault profile, then the access pattern ("NoPFS @meltdown @zipf") — the one
 // labelling rule shared by WriteText and the CLIs' bespoke figure tables, so
 // the same grid renders consistently on every path. Empty qualifiers are
-// skipped, so axis-less rows are the bare label. The variadic signature
-// keeps legacy two-argument (policy, profile) call sites source-compatible.
-func RowLabel(policy string, quals ...string) string {
+// skipped, so axis-less rows are the bare label.
+func RowLabel(policy, profile, pattern string) string {
 	label := policy
-	for _, q := range quals {
-		if q != "" {
-			label += " @" + q
-		}
+	if profile != "" {
+		label += " @" + profile
+	}
+	if pattern != "" {
+		label += " @" + pattern
 	}
 	return label
 }

@@ -47,11 +47,7 @@ type CellResult struct {
 // Report is the raw outcome of one grid execution, cells in enumeration
 // order regardless of scheduling.
 type Report struct {
-	Grid string `json:"grid"`
-	// Parallel records the pool width that produced the report. It is
-	// excluded from encodings: serialised reports are a pure function of
-	// the grid, bit-identical at any parallelism.
-	Parallel int    `json:"-"`
+	Grid     string `json:"grid"`
 	Replicas int    `json:"replicas"`
 	BaseSeed uint64 `json:"baseSeed"`
 	// Profiles names the grid's fault-profile axis, in column order; empty
@@ -76,7 +72,7 @@ type Report struct {
 // retains every cell. Grids too large to hold their results should use
 // RunStream with streaming encoders instead.
 func (r *Runner) Run(ctx context.Context, g *Grid) (*Report, error) {
-	col := &reportCollector{parallel: r.Parallel}
+	col := &reportCollector{}
 	if err := r.RunStream(ctx, g, col); err != nil {
 		return nil, err
 	}

@@ -217,16 +217,14 @@ func cellError(g *Grid, c Cell, err error) error {
 // reassembles the legacy Report. Run is built on it, which keeps the two
 // paths behaviourally identical by construction.
 type reportCollector struct {
-	parallel int
-	rep      *Report
+	rep *Report
 }
 
 func (c *reportCollector) Begin(m Meta) error {
 	c.rep = &Report{
-		Grid: m.Grid, Parallel: c.parallel, Replicas: m.Replicas,
-		BaseSeed: m.BaseSeed, Profiles: m.Profiles, Patterns: m.Patterns,
-		Metrics: m.Metrics,
-		Labels:  m.Labels, Cells: make([]CellResult, 0, m.Size),
+		Grid: m.Grid, Replicas: m.Replicas, BaseSeed: m.BaseSeed,
+		Profiles: m.Profiles, Patterns: m.Patterns, Metrics: m.Metrics,
+		Labels: m.Labels, Cells: make([]CellResult, 0, m.Size),
 	}
 	return nil
 }
