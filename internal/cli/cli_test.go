@@ -159,24 +159,16 @@ func TestConfigFile(t *testing.T) {
 	})
 
 	t.Run("unknown flag", func(t *testing.T) {
-		path := write("unknown.conf", "no-such-flag = 1\n")
-		fs, _ := simFlags("nopfs sim")
-		if err := fs.Parse(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := applyConfigFile(fs, path); err == nil || !isUsage(err) {
-			t.Fatalf("unknown config flag: err = %v, want usage error", err)
-		}
-	})
-
-	t.Run("removed stream flag", func(t *testing.T) {
-		path := write("stream.conf", "stream = true\n")
-		fs, _ := simFlags("nopfs sim")
-		if err := fs.Parse(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := applyConfigFile(fs, path); err == nil || !isUsage(err) {
-			t.Fatalf("stream= in a config file: err = %v, want usage error", err)
+		// stream= names the removed -stream flag.
+		for _, line := range []string{"no-such-flag = 1", "stream = true"} {
+			path := write("unknown.conf", line+"\n")
+			fs, _ := simFlags("nopfs sim")
+			if err := fs.Parse(nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := applyConfigFile(fs, path); err == nil || !isUsage(err) {
+				t.Fatalf("config line %q: err = %v, want usage error", line, err)
+			}
 		}
 	})
 

@@ -34,6 +34,17 @@ func (rep *Report) replay(a Aggregator) error {
 // parallelism.
 func WriteJSON(w io.Writer, rep *Report) error { return rep.replay(NewJSONAggregator(w)) }
 
+// WriteCSV emits one row per aggregated (scenario, policy, profile, pattern)
+// summary, with four columns (mean, median, 95% CI bounds) per schema
+// metric. The profile and pattern columns appear only when the grid declares
+// the corresponding axis, keeping axis-less reports byte-identical.
+func WriteCSV(w io.Writer, rep *Report) error { return rep.replay(NewCSVAggregator(w)) }
+
+// WriteText renders the report in the repo's bar-chart style: one block per
+// scenario, one row per policy, one column per visible schema metric, with a
+// ±CI column on the first metric when the grid ran more than one replica.
+func WriteText(w io.Writer, rep *Report) error { return rep.replay(NewTextAggregator(w)) }
+
 // csvHeader builds the summary-CSV header row for the schema.
 func csvHeader(hasProfiles, hasPatterns bool, metrics []Metric) []string {
 	header := []string{"grid", "scenario", "policy"}
@@ -69,12 +80,6 @@ func csvRow(grid string, hasProfiles, hasPatterns bool, metrics []Metric, s Summ
 	}
 	return row
 }
-
-// WriteCSV emits one row per aggregated (scenario, policy, profile, pattern)
-// summary, with four columns (mean, median, 95% CI bounds) per schema
-// metric. The profile and pattern columns appear only when the grid declares
-// the corresponding axis, keeping axis-less reports byte-identical.
-func WriteCSV(w io.Writer, rep *Report) error { return rep.replay(NewCSVAggregator(w)) }
 
 // textColWidth is the text-report column width for metric values.
 const textColWidth = 13
@@ -156,8 +161,3 @@ func textRow(w io.Writer, s Summary, visible []Metric, multi bool) error {
 	_, err := fmt.Fprintln(w, row.String()+"  "+notes)
 	return err
 }
-
-// WriteText renders the report in the repo's bar-chart style: one block per
-// scenario, one row per policy, one column per visible schema metric, with a
-// ±CI column on the first metric when the grid ran more than one replica.
-func WriteText(w io.Writer, rep *Report) error { return rep.replay(NewTextAggregator(w)) }

@@ -7,12 +7,12 @@ import (
 	"io"
 )
 
-// Reference report writers: the whole-report encoders WriteJSON, WriteCSV
-// and WriteText used before they became replays through the streaming
-// aggregators, kept verbatim as test oracles. They assemble each document
-// from Report.Aggregate's group-by rather than from the ordered stream, so
-// the byte-identity property tests compare the aggregators with an
-// independent implementation instead of with themselves.
+// Reference report writers: whole-report implementations of the JSON, CSV
+// and text formats, kept as test oracles. They assemble each document from
+// Report.Aggregate's group-by rather than from the ordered cell stream, so
+// the byte-identity property tests compare the streaming aggregators (which
+// WriteJSON, WriteCSV and WriteText replay through) with an independent
+// implementation instead of with themselves.
 
 // referenceJSONReport is the stable on-wire shape: the raw cells plus the
 // aggregated summaries, so consumers get both without re-deriving either.
